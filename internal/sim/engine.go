@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -9,6 +10,12 @@ import (
 	"github.com/sjtu-epcc/arena/internal/sched"
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
+
+// ErrDuplicateJob marks a Config.Jobs trace that repeats a job ID. Job
+// IDs key Assignment.Place and the cluster's allocations, so no two live
+// jobs may share one; a streamed or submitted duplicate of a live job is
+// retired as Dropped at staging instead (see Engine.Submit).
+var ErrDuplicateJob = errors.New("sim: duplicate job ID")
 
 // Engine is the simulator's world exposed one step at a time: the same
 // state machine and round body RunCtx drives to completion, usable
@@ -62,6 +69,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cluster: cl,
 		src:     cfg.Source,
 		sim:     map[*sched.Job]*jobSim{},
+		live:    map[string]*sched.Job{},
+		staged:  map[string]*sched.Job{},
 	}
 	if cfg.Streaming {
 		s.jctS = metrics.NewStream(0.50, 0.90)
@@ -69,14 +78,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{s: s}
 	for _, tj := range cfg.Jobs {
-		j := &sched.Job{
-			Trace:            tj,
-			State:            sched.StateQueued,
-			SubmittedAt:      tj.SubmitTime + cfg.Policy.ProfilePrepend(cfg.DB, tj.Workload),
-			LaunchedAt:       -1,
-			RemainingSamples: tj.TotalSamples(),
-			CurPriority:      tj.Priority,
+		if s.staged[tj.ID] != nil {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, tj.ID)
 		}
+		j := s.newJob(tj)
+		s.staged[tj.ID] = j
 		s.pending = append(s.pending, j)
 	}
 	sort.SliceStable(s.pending, func(a, b int) bool {
@@ -193,6 +199,11 @@ func (e *Engine) Round(now float64) sched.Assignment {
 // submission time with ties in arrival order, so an incremental sequence
 // of Submits reproduces the batch constructor's stable sort and a
 // journal replay reconstructs identical state.
+//
+// A job whose ID is held by a pending, queued or running job is not
+// admitted: the returned record is already retired as Dropped at its
+// submission time. The ID of a finished, dropped or failed job may be
+// reused.
 func (e *Engine) Submit(tj trace.Job, now float64) *sched.Job {
 	if tj.SubmitTime == 0 && now > 0 {
 		tj.SubmitTime = now
@@ -206,55 +217,51 @@ func (e *Engine) Submit(tj trace.Job, now float64) *sched.Job {
 // a live job was cancelled.
 func (e *Engine) Cancel(id string, now float64) bool {
 	s := e.s
-	for i, j := range s.pending {
-		if j.Trace.ID == id {
-			j.State = sched.StateDropped
-			j.FinishedAt = now
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			s.retire(j)
-			return true
-		}
-	}
-	if j := s.findQueued(id); j != nil {
+	if j := s.staged[id]; j != nil {
 		j.State = sched.StateDropped
 		j.FinishedAt = now
-		s.queued = removeJob(s.queued, j)
+		s.pending = removeJob(s.pending, j)
 		s.retire(j)
 		return true
 	}
-	for _, j := range s.running {
-		if j.Trace.ID == id {
-			// Account the work done up to the cancel instant, then drop
-			// the stale completion prediction before the job leaves the
-			// running set.
-			s.materialize(j, now)
-			s.invalidate(j)
-			s.cluster.Free(id)
-			j.State = sched.StateDropped
-			j.FinishedAt = now
-			j.Alloc = sched.Alloc{}
-			j.ActualThr = 0
-			s.running = removeJob(s.running, j)
-			s.retire(j)
-			return true
-		}
+	j := s.live[id]
+	switch {
+	case j == nil:
+		return false
+	case j.Running():
+		// Account the work done up to the cancel instant, then drop the
+		// stale completion prediction before the job leaves the running
+		// set.
+		s.materialize(j, now)
+		s.invalidate(j)
+		s.cluster.Free(id)
+		j.Alloc = sched.Alloc{}
+		j.ActualThr = 0
+		s.running = removeJob(s.running, j)
+	default:
+		s.queued = removeJob(s.queued, j)
 	}
-	return false
+	j.State = sched.StateDropped
+	j.FinishedAt = now
+	s.retire(j)
+	return true
 }
 
 // Find returns the job with the given trace ID in any lifecycle state,
-// or nil. The returned pointer is the engine's live record; callers must
-// not mutate it.
+// or nil: the live or pending job holding the ID, else the first retired
+// one (streaming mode keeps no retired records). The returned pointer is
+// the engine's live record; callers must not mutate it.
 func (e *Engine) Find(id string) *sched.Job {
 	s := e.s
-	if j := s.findAny(id); j != nil {
+	if j := s.live[id]; j != nil {
 		return j
 	}
-	for _, list := range [][]*sched.Job{s.pending, s.done_} {
-		for _, j := range list {
-			if j.Trace.ID == id {
-				return j
-			}
+	if j := s.staged[id]; j != nil {
+		return j
+	}
+	for _, j := range s.done_ {
+		if j.Trace.ID == id {
+			return j
 		}
 	}
 	return nil

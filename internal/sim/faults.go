@@ -16,11 +16,8 @@ func (s *state) applyFault(ev faults.Event) {
 	case faults.Crash:
 		victims := s.cluster.FailNode(ev.GPUType, ev.Node)
 		for _, id := range victims {
-			for _, j := range s.running {
-				if j.Trace.ID == id {
-					s.preempt(ev.Time, j)
-					break
-				}
+			if j := s.live[id]; j != nil && j.Running() {
+				s.preempt(ev.Time, j)
 			}
 		}
 	case faults.Recover:

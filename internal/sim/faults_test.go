@@ -334,16 +334,24 @@ func TestSimFaultTraceValidatedAgainstSpec(t *testing.T) {
 }
 
 // scriptPolicy replays a fixed per-round assignment script with constant
-// throughput and overheads — a harness for exact overhead arithmetic.
+// throughput and overheads — a harness for exact overhead arithmetic and
+// for naming ids no real policy would emit. seen records the ids of the
+// Queued set each round was shown.
 type scriptPolicy struct {
 	script map[int]sched.Assignment
 	round  int
 	deploy float64
 	thr    float64
+	seen   [][]string
 }
 
 func (p *scriptPolicy) Name() string { return "script" }
 func (p *scriptPolicy) Assign(ctx *sched.Context) sched.Assignment {
+	var ids []string
+	for _, j := range ctx.Queued {
+		ids = append(ids, j.Trace.ID)
+	}
+	p.seen = append(p.seen, ids)
 	asg := p.script[p.round]
 	p.round++
 	return asg

@@ -14,7 +14,9 @@ package sim
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/clock"
 	"github.com/sjtu-epcc/arena/internal/cluster"
@@ -171,6 +173,17 @@ type state struct {
 	queued  []*sched.Job
 	running []*sched.Job
 	done_   []*sched.Job // empty in streaming mode (jobs fold into aggregates)
+
+	// Job id index. live holds exactly the admitted live jobs (queued ∪
+	// running) by Trace.ID and staged the pending ones; a job enters live
+	// at admit and leaves at retire. No two jobs in either map share an
+	// id: stage retires a submission that would duplicate one. Both maps
+	// are only ever read by key, never iterated.
+	live, staged map[string]*sched.Job
+
+	// Per-round scratch of apply, reused so a round allocates nothing.
+	places     []placeStep
+	migrateIDs []string
 
 	// Streaming trace source (nil when cfg.Jobs was staged up front).
 	src     trace.Source
@@ -422,6 +435,13 @@ func (s *state) complete(j *sched.Job, at float64) {
 // dropped, which is what keeps memory O(active jobs).
 func (s *state) retire(j *sched.Job) {
 	delete(s.sim, j)
+	// A duplicate dropped at staging was never indexed: leave the live
+	// job holding its id alone.
+	if id := j.Trace.ID; s.live[id] == j {
+		delete(s.live, id)
+	} else if s.staged[id] == j {
+		delete(s.staged, id)
+	}
 	if !s.cfg.Streaming {
 		s.done_ = append(s.done_, j)
 		return
@@ -463,13 +483,10 @@ func (s *state) accountTerminal(j *sched.Job) {
 	s.mRestarts += j.Restarts
 }
 
-// stage registers one trace job as a future submission, keeping pending
-// sorted by effective submission time (SubmitTime plus the policy's
-// profiling prepend) with ties in arrival order — the insertion-sort
-// equivalent of the batch constructor's stable sort, so slice staging,
-// streaming pulls and live Submits all produce identical pending order.
-func (s *state) stage(tj trace.Job) *sched.Job {
-	j := &sched.Job{
+// newJob builds the engine's record of a trace job, its submission
+// delayed by the policy's profiling prepend.
+func (s *state) newJob(tj trace.Job) *sched.Job {
+	return &sched.Job{
 		Trace:            tj,
 		State:            sched.StateQueued,
 		SubmittedAt:      tj.SubmitTime + s.cfg.Policy.ProfilePrepend(s.cfg.DB, tj.Workload),
@@ -477,6 +494,27 @@ func (s *state) stage(tj trace.Job) *sched.Job {
 		RemainingSamples: tj.TotalSamples(),
 		CurPriority:      tj.Priority,
 	}
+}
+
+// stage registers one trace job as a future submission, keeping pending
+// sorted by effective submission time (SubmitTime plus the policy's
+// profiling prepend) with ties in arrival order — the insertion-sort
+// equivalent of the batch constructor's stable sort, so slice staging,
+// streaming pulls and live Submits all produce identical pending order.
+//
+// A job whose id is held by a pending, queued or running job is retired
+// as Dropped at its submission time instead: Assignment.Place and the
+// cluster's allocations are keyed by id, so two live jobs sharing one
+// would be ambiguous.
+func (s *state) stage(tj trace.Job) *sched.Job {
+	j := s.newJob(tj)
+	if s.live[tj.ID] != nil || s.staged[tj.ID] != nil {
+		j.State = sched.StateDropped
+		j.FinishedAt = tj.SubmitTime
+		s.retire(j)
+		return j
+	}
+	s.staged[tj.ID] = j
 	// First index whose SubmittedAt exceeds the new job's: insert there,
 	// i.e. after every earlier-or-equal submission.
 	i := sort.Search(len(s.pending), func(i int) bool {
@@ -544,85 +582,134 @@ func (s *state) srcExhausted() bool {
 func (s *state) admit(now float64) {
 	i := 0
 	for ; i < len(s.pending); i++ {
-		if s.pending[i].SubmittedAt > now {
+		j := s.pending[i]
+		if j.SubmittedAt > now {
 			break
 		}
-		s.queued = append(s.queued, s.pending[i])
+		delete(s.staged, j.Trace.ID)
+		s.live[j.Trace.ID] = j
+		s.queued = append(s.queued, j)
 	}
 	s.pending = s.pending[i:]
 }
 
 // apply executes the policy's assignment: drops, shrinks, launches, and
-// growths, charging deployment overheads.
+// growths, charging deployment overheads. Ids resolve through the live
+// index only, so an id naming no admitted live job — unknown, still
+// pending, or retired earlier in this round — is ignored.
+//
+// Jobs leaving the queue (drops, launches) keep their slot in s.queued
+// until one order-preserving compaction at the end: nothing in between
+// reads the queue, and the final order equals removing each in turn.
 func (s *state) apply(now float64, asg sched.Assignment) {
+	left := false
 	for _, id := range asg.Drop {
-		if j := s.findQueued(id); j != nil {
+		if j := s.live[id]; j != nil && j.State == sched.StateQueued {
 			j.State = sched.StateDropped
 			j.FinishedAt = now
-			s.queued = removeJob(s.queued, j)
 			s.retire(j)
+			left = true
 		}
 	}
 	if len(asg.Migrate) > 0 {
-		migrate := append([]string(nil), asg.Migrate...)
-		sort.Strings(migrate)
-		for _, id := range migrate {
+		// Sorted copy: the assignment is the caller's (the server digests
+		// it after the round).
+		s.migrateIDs = append(s.migrateIDs[:0], asg.Migrate...)
+		sort.Strings(s.migrateIDs)
+		for _, id := range s.migrateIDs {
 			if _, placed := asg.Place[id]; placed {
 				continue // a rescale supersedes the migration
 			}
-			if j := s.findAny(id); j != nil && j.Running() {
+			if j := s.live[id]; j != nil && j.Running() {
 				s.migrate(now, j)
 			}
 		}
 	}
-	if len(asg.Place) == 0 {
-		return
+	if len(asg.Place) > 0 && s.place(now, asg.Place) {
+		left = true
 	}
-	// Deterministic application order: shrinks and moves of running jobs
-	// first (they free capacity), then queued launches, then growths.
-	ids := make([]string, 0, len(asg.Place))
-	for id := range asg.Place {
-		ids = append(ids, id)
+	if left {
+		s.compactQueued()
 	}
-	sort.Strings(ids)
-	rank := func(id string) int {
-		j := s.findAny(id)
-		if j == nil {
-			return 9
-		}
-		target := asg.Place[id]
-		switch {
-		case j.State == sched.StateQueued:
-			return 2
-		case target.N < j.Alloc.N:
-			return 0
-		case target.GPUType != j.Alloc.GPUType:
-			return 1
-		default:
-			return 3
-		}
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return rank(ids[a]) < rank(ids[b]) })
+}
 
-	for _, id := range ids {
-		target := asg.Place[id]
-		j := s.findAny(id)
-		if j == nil || target.IsZero() {
+// placeStep is one Place entry resolved for application.
+type placeStep struct {
+	id     string
+	target sched.Alloc
+	job    *sched.Job // nil when the id names no admitted live job
+	rank   int
+}
+
+// placeRank is the deterministic application order of Place entries:
+// shrinks and moves of running jobs first (they free capacity), then
+// queued launches, then growths; unresolved ids last (they are skipped).
+func placeRank(j *sched.Job, target sched.Alloc) int {
+	switch {
+	case j == nil:
+		return 9
+	case j.State == sched.StateQueued:
+		return 2
+	case target.N < j.Alloc.N:
+		return 0
+	case target.GPUType != j.Alloc.GPUType:
+		return 1
+	default:
+		return 3
+	}
+}
+
+// place applies the Place map in (rank, id) order, each entry resolved
+// and ranked once against the pre-apply state. Reports whether any
+// queued job launched.
+func (s *state) place(now float64, place map[string]sched.Alloc) bool {
+	s.places = s.places[:0]
+	for id, target := range place {
+		j := s.live[id]
+		s.places = append(s.places, placeStep{id: id, target: target, job: j, rank: placeRank(j, target)})
+	}
+	// Map keys are unique, so (rank, id) is a total order.
+	slices.SortFunc(s.places, func(a, b placeStep) int {
+		if a.rank != b.rank {
+			return a.rank - b.rank
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	launched := false
+	for _, p := range s.places {
+		j := p.job
+		if j == nil || p.target.IsZero() {
 			continue
 		}
 		switch j.State {
 		case sched.StateQueued:
-			s.launch(now, j, target)
+			s.launch(now, j, p.target)
+			launched = launched || j.Running()
 		case sched.StateRunning:
-			if j.Alloc == target {
+			if j.Alloc == p.target {
 				continue
 			}
-			s.rescale(now, j, target)
+			s.rescale(now, j, p.target)
 		}
 	}
+	return launched
 }
 
-// launch places a queued job.
+// compactQueued drops every job that left the queue this round (dropped
+// or launched), preserving the order of the rest.
+func (s *state) compactQueued() {
+	kept := s.queued[:0]
+	for _, j := range s.queued {
+		if j.State == sched.StateQueued {
+			kept = append(kept, j)
+		}
+	}
+	clear(s.queued[len(kept):]) // keep no retired job reachable from the tail
+	s.queued = kept
+}
+
+// launch places a queued job. The job keeps its slot in s.queued until
+// apply compacts the queue.
 func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
 	w := j.Workload()
 	actual := s.cfg.Policy.ActualThr(s.cfg.DB, w, target.GPUType, target.N)
@@ -650,7 +737,6 @@ func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
 	if j.LaunchedAt < 0 {
 		j.LaunchedAt = now
 	}
-	s.queued = removeJob(s.queued, j)
 	s.running = append(s.running, j)
 	s.rePredict(j, now)
 }
@@ -923,27 +1009,6 @@ func (s *state) finishStreaming(end float64) *Result {
 		sum.AvgReschedules = s.mResched / float64(s.mLaunched)
 	}
 	return &Result{Summary: sum, Jobs: nil, Horizon: end}
-}
-
-func (s *state) findQueued(id string) *sched.Job {
-	for _, j := range s.queued {
-		if j.Trace.ID == id {
-			return j
-		}
-	}
-	return nil
-}
-
-func (s *state) findAny(id string) *sched.Job {
-	if j := s.findQueued(id); j != nil {
-		return j
-	}
-	for _, j := range s.running {
-		if j.Trace.ID == id {
-			return j
-		}
-	}
-	return nil
 }
 
 func removeJob(list []*sched.Job, j *sched.Job) []*sched.Job {
