@@ -85,7 +85,7 @@ func TestSessionStoreServesPerfDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.PerfDBFromSnapshot() {
+	if s1.PerfDBStoreStats().FromStore() {
 		t.Fatal("first build cannot come from the store")
 	}
 	if st := s1.PerfDBStoreStats(); st.BuiltColumns != 1 {
@@ -100,7 +100,7 @@ func TestSessionStoreServesPerfDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.PerfDBFromSnapshot() {
+	if !s2.PerfDBStoreStats().FromStore() {
 		t.Fatal("second build should be served from the store")
 	}
 	if st := s2.PerfDBStoreStats(); !st.FromStore() || st.LoadedColumns != 1 {

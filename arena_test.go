@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	arena "github.com/sjtu-epcc/arena"
+	"github.com/sjtu-epcc/arena/internal/perfdb"
+	"github.com/sjtu-epcc/arena/internal/profiler"
+	"github.com/sjtu-epcc/arena/internal/search"
+	"github.com/sjtu-epcc/arena/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -53,7 +57,7 @@ func TestFacadeSearches(t *testing.T) {
 	eng := arena.NewEngine(42)
 	g := arena.MustBuildModel("MoE-1.3B")
 	spec := arena.MustGPU("A40")
-	full, err := arena.FullSearch(eng, g, spec, 256, 4)
+	full, err := search.FullSearch(eng, g, spec, 256, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestFacadeSearches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := arena.PrunedSearch(eng, g, spec, 256, 4, gp)
+	pruned, err := search.PrunedSearch(eng, g, spec, 256, 4, gp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +91,14 @@ func TestFacadeSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := arena.BuildPerfDB(arena.NewEngine(42), arena.PerfDBOptions{
+	db, err := perfdb.Build(arena.NewEngine(42), arena.PerfDBOptions{
 		GPUTypes: spec.GPUTypes(), MaxN: 8,
 		Workloads: []arena.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := arena.Simulate(arena.SimConfig{
+	res, err := sim.Run(arena.SimConfig{
 		Spec: spec, Policy: arena.NewArenaPolicy(), Jobs: jobs, DB: db,
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})
@@ -114,9 +118,9 @@ func TestObjectiveConstants(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesFreeFunctions asserts the redesign's bit-identity
-// contract: every Session method returns exactly what the deprecated
-// free-function wiring returned for the same inputs.
+// TestSessionMatchesFreeFunctions asserts the Session's bit-identity
+// contract: every Session method returns exactly what the serial,
+// uncached internal free functions return for the same inputs.
 func TestSessionMatchesFreeFunctions(t *testing.T) {
 	ctx := context.Background()
 	s, err := arena.New(arena.WithSeed(42), arena.WithGPUTypes("A40"), arena.WithMaxN(4))
@@ -129,7 +133,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 
 	// Full search: session (cached, parallel) vs legacy serial reference.
 	eng := arena.NewEngine(42)
-	serial, err := arena.FullSearch(eng, g, spec, 128, 4)
+	serial, err := search.FullSearch(eng, g, spec, 128, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +172,11 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 	}
 
 	// ProfileJob: same grids, same estimates, same profiling bill.
-	ct, err := arena.SampleComm(eng, []string{"A40"}, 16)
+	ct, err := profiler.OfflineSampleComm(eng, []string{"A40"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpFree, err := arena.ProfileJob(arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4)
+	jpFree, err := profiler.ProfileJob(arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +207,13 @@ func TestSessionSimulateMatchesFreeSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dbFree, err := arena.BuildPerfDB(arena.NewEngine(42), arena.PerfDBOptions{
+	dbFree, err := perfdb.Build(arena.NewEngine(42), arena.PerfDBOptions{
 		GPUTypes: spec.GPUTypes(), MaxN: 8, Workloads: []arena.Workload{w},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := arena.Simulate(arena.SimConfig{
+	free, err := sim.Run(arena.SimConfig{
 		Spec: spec, Policy: arena.NewArenaPolicy(), Jobs: jobs, DB: dbFree,
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})
@@ -305,10 +309,6 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := arena.New(arena.WithMaxN(0)); err == nil {
 		t.Error("want error for MaxN 0")
-	}
-	cache := arena.NewEvalCache(arena.NewEngine(7))
-	if _, err := arena.New(arena.WithSeed(42), arena.WithEvalCache(cache)); err == nil {
-		t.Error("want error for eval cache bound to a different seed")
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 
 	env := experiments.NewEnv(c.Seed)
 	env.StoreDir = c.Store
-	env.DBCacheDir = c.EffectiveDBCache()
 	env.Workers = c.Workers
 	env.SnapshotWarn = cli.WarnSnapshot
 	if *verbose {

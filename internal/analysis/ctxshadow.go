@@ -11,8 +11,7 @@ import (
 // cancellation context, and the cancellation check kept reading the
 // right variable only by accident of statement order.
 //
-// This is the go/types port of internal/shadowcheck's original go/ast
-// check. The typed view removes the syntactic heuristics: a parameter
+// The check works on go/types objects, not syntax: a parameter
 // counts as a context whatever the import is named (`c "context"`,
 // dot-imports, type aliases), and a same-scope reuse like
 // `ctx, cancel := context.WithCancel(ctx)` produces no new object so it

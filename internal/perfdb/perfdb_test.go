@@ -1,6 +1,7 @@
 package perfdb
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -315,4 +316,58 @@ func TestBuildRejectsForeignEvalCache(t *testing.T) {
 	if _, err := Build(exec.NewEngine(42), opts); err == nil {
 		t.Fatal("cache bound to a different engine must be rejected")
 	}
+}
+
+func smallOpts() Options {
+	return Options{
+		GPUTypes: []string{"A40"},
+		MaxN:     8,
+		Workloads: []model.Workload{
+			{Model: "GPT-1.3B", GlobalBatch: 128},
+			{Model: "WRes-1B", GlobalBatch: 256},
+		},
+	}
+}
+
+// equalDB asserts two databases are bit-identical in every externally
+// observable dimension.
+func equalDB(t *testing.T, a, b *DB, label string) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Keys(), b.Keys()) {
+		t.Fatalf("%s: key sets differ", label)
+	}
+	for _, k := range a.Keys() {
+		ea, eb := a.entries[k], b.entries[k]
+		if !reflect.DeepEqual(*ea, *eb) {
+			t.Errorf("%s: entry %v differs:\n a: %+v\n b: %+v", label, k, *ea, *eb)
+		}
+	}
+	if !reflect.DeepEqual(a.arenaProfileWall, b.arenaProfileWall) {
+		t.Errorf("%s: arena profile wall differs", label)
+	}
+	if !reflect.DeepEqual(a.dpProfileWall, b.dpProfileWall) {
+		t.Errorf("%s: dp profile wall differs", label)
+	}
+	if !reflect.DeepEqual(a.siaProfileWall, b.siaProfileWall) {
+		t.Errorf("%s: sia profile wall differs", label)
+	}
+}
+
+// TestCachedBuildMatchesUncachedSerial is the perfdb half of the tentpole
+// determinism guarantee: the memoized fan-out build and the pre-cache
+// serial build produce byte-identical databases — entries (throughputs,
+// plans, modeled search times) and profiling wall-time accumulators.
+func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
+	cached, err := Build(exec.NewEngine(42), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselineOpts := smallOpts()
+	baselineOpts.NoCache = true
+	baselineOpts.Serial = true
+	baseline, err := Build(exec.NewEngine(42), baselineOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalDB(t, cached, baseline, "cached vs serial-uncached")
 }

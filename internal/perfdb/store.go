@@ -17,10 +17,9 @@ import (
 // This file persists the database through a content-addressed store, one
 // object per *workload column* — everything Build computes for one
 // workload across the request's (GPU types × counts). Column granularity
-// is what makes invalidation partial: the legacy single-file snapshot is
-// all-or-nothing (one new workload in the mix forces a full rebuild),
-// while a column store rebuilds exactly the missing columns and reuses
-// every other one byte for byte.
+// is what makes invalidation partial: adding one workload to the mix
+// rebuilds exactly the missing column and reuses every other one byte for
+// byte.
 //
 // A column's key hashes everything its entries depend on: the column
 // schema version, the engine fingerprint (seed + tunables), the
@@ -30,6 +29,22 @@ import (
 // spans all requested types and counts. Content addressing also shares
 // columns across option sets: two requests that agree on those inputs hit
 // the same objects regardless of which other workloads each one asked for.
+
+// SnapshotError marks a persistence failure that did not affect the
+// built database: the build succeeded and the returned DB is fully
+// usable; only the cross-run cache was lost (Path names the store object
+// that could not be written). Callers distinguish it with errors.As to
+// warn-and-continue instead of aborting.
+type SnapshotError struct {
+	Path string
+	Err  error
+}
+
+func (e *SnapshotError) Error() string {
+	return fmt.Sprintf("perfdb: saving snapshot %s: %v", e.Path, e.Err)
+}
+
+func (e *SnapshotError) Unwrap() error { return e.Err }
 
 // columnSchema versions the column dump layout; hashed into every key, so
 // a bump orphans old objects instead of misreading them.
@@ -72,8 +87,7 @@ type StoreStats struct {
 	Skipped []error
 }
 
-// FromStore reports whether every requested column came from the store
-// (the partial-build analogue of a full snapshot hit).
+// FromStore reports whether every requested column came from the store.
 func (s StoreStats) FromStore() bool { return s.BuiltColumns == 0 && s.LoadedColumns > 0 }
 
 // columnKey derives the content address of one workload column.
@@ -94,7 +108,7 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 // building only the missing columns — so adding one workload to an
 // otherwise-cached request profiles and searches that workload alone,
 // while every pre-existing column is reused byte for byte. Freshly built
-// columns are written back for the next run.
+// columns are written back for the next run. A nil store builds cold.
 //
 // The merged result is bit-identical to a cold Build of the same options:
 // workload columns are independent by construction (each build runs its
@@ -104,7 +118,7 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 // TestStorePartialBuildMatchesColdBuild asserts.
 //
 // A column write failure returns the fully usable database together with
-// a *SnapshotError, matching BuildOrLoad's warn-and-continue convention;
+// a *SnapshotError (warn and continue: only the cache was lost);
 // unreadable column objects are rebuilt and reported in StoreStats.Skipped.
 func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *store.Store) (*DB, StoreStats, error) {
 	var stats StoreStats

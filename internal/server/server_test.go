@@ -548,3 +548,27 @@ func TestSubmitStampsClockTime(t *testing.T) {
 		t.Fatalf("SubmitTime stamped %v, want 300", tj.SubmitTime)
 	}
 }
+
+// TestSubmitRejectsRetiredID: a job id stays taken after the job
+// retires, so resubmitting it is ErrExists (and cancelling it ErrJobDone).
+func TestSubmitRejectsRetiredID(t *testing.T) {
+	srv, st := newServer(t, t.TempDir(), policy.NewFCFS())
+	defer st.Close()
+	defer srv.Close()
+	tj := testJobs(t, 1)[0]
+	if _, err := srv.Submit(tj); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Cancel(tj.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Cancel(tj.ID); !errors.Is(err, ErrJobDone) {
+		t.Fatalf("cancel of a retired job: err %v, want ErrJobDone", err)
+	}
+	if _, err := srv.Submit(tj); !errors.Is(err, ErrExists) {
+		t.Fatalf("resubmitting a retired id: err %v, want ErrExists", err)
+	}
+}

@@ -71,6 +71,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sim:     map[*sched.Job]*jobSim{},
 		live:    map[string]*sched.Job{},
 		staged:  map[string]*sched.Job{},
+		retired: map[string]*sched.Job{},
 	}
 	if cfg.Streaming {
 		s.jctS = metrics.NewStream(0.50, 0.90)
@@ -259,12 +260,7 @@ func (e *Engine) Find(id string) *sched.Job {
 	if j := s.staged[id]; j != nil {
 		return j
 	}
-	for _, j := range s.done_ {
-		if j.Trace.ID == id {
-			return j
-		}
-	}
-	return nil
+	return s.retired[id]
 }
 
 // Jobs returns every job the engine has ever seen (completed first, then

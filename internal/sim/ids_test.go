@@ -194,3 +194,36 @@ func TestSourceDuplicateDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestFindResolvesRetiredIDs pins Find's lookup order through the
+// retired-job index: a retired id resolves to its terminal record; while
+// a reused id is live, Find returns the live job; once every holder has
+// retired, the first job retired under the id wins — including a
+// duplicate that was dropped at staging before the original retired.
+func TestFindResolvesRetiredIDs(t *testing.T) {
+	e := scriptEngine(t, &scriptPolicy{})
+	gone := e.Submit(scriptJob(t, "gone", 1e6), 0)
+	if !e.Cancel("gone", 5) || e.Find("gone") != gone || gone.State != sched.StateDropped {
+		t.Fatalf("retired id: Find = %p (state %s), want the cancelled job %p", e.Find("gone"), gone.State, gone)
+	}
+
+	again := e.Submit(scriptJob(t, "gone", 1e6), 10)
+	if again == gone || e.Find("gone") != again {
+		t.Fatalf("reused id: Find = %p, want the live resubmission %p", e.Find("gone"), again)
+	}
+	if !e.Cancel("gone", 20) || e.Find("gone") != gone {
+		t.Fatalf("reused id after both retired: Find = %p, want the first retired job %p", e.Find("gone"), gone)
+	}
+
+	live := e.Submit(scriptJob(t, "dup", 1e6), 30)
+	dup := e.Submit(scriptJob(t, "dup", 1e6), 30)
+	if dup.State != sched.StateDropped || e.Find("dup") != live {
+		t.Fatalf("staged duplicate: state %s, Find = %p, want dropped and the live job %p", dup.State, e.Find("dup"), live)
+	}
+	if !e.Cancel("dup", 40) || e.Find("dup") != dup {
+		t.Fatalf("after the original retired: Find = %p, want the duplicate retired first %p", e.Find("dup"), dup)
+	}
+	if e.Find("never") != nil {
+		t.Fatal("an unknown id resolved to a job")
+	}
+}

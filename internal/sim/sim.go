@@ -180,6 +180,10 @@ type state struct {
 	// id: stage retires a submission that would duplicate one. Both maps
 	// are only ever read by key, never iterated.
 	live, staged map[string]*sched.Job
+	// retired indexes done_ by Trace.ID, keeping the first job retired
+	// under each id (empty in streaming mode, like done_); read by key
+	// only.
+	retired map[string]*sched.Job
 
 	// Per-round scratch of apply, reused so a round allocates nothing.
 	places     []placeStep
@@ -437,13 +441,17 @@ func (s *state) retire(j *sched.Job) {
 	delete(s.sim, j)
 	// A duplicate dropped at staging was never indexed: leave the live
 	// job holding its id alone.
-	if id := j.Trace.ID; s.live[id] == j {
+	id := j.Trace.ID
+	if s.live[id] == j {
 		delete(s.live, id)
 	} else if s.staged[id] == j {
 		delete(s.staged, id)
 	}
 	if !s.cfg.Streaming {
 		s.done_ = append(s.done_, j)
+		if s.retired[id] == nil {
+			s.retired[id] = j
+		}
 		return
 	}
 	s.accountTerminal(j)
