@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/sched"
+	"github.com/sjtu-epcc/arena/internal/sched/policy"
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
@@ -200,6 +202,54 @@ func goldenFixtures(t *testing.T) map[string]func() Config {
 				RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 			}
 		}
+		// The 40-job slice under the random fault model, and a streamed
+		// philly-6h source with and without it: streamed arrivals are
+		// pulled on demand instead of pre-staged, a separate engine path.
+		fx["faults/"+name] = func() Config {
+			return Config{
+				Spec: hw.ClusterA(), Policy: mk(), Jobs: testJobs(t, 40), DB: db(t),
+				RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+				Faults: parityFaults(),
+			}
+		}
+		fx["stream/"+name] = func() Config {
+			return Config{
+				Spec: hw.ClusterA(), Policy: mk(), Source: phillyStream(t), DB: db(t),
+				RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+			}
+		}
+		fx["stream-faults/"+name] = func() Config {
+			return Config{
+				Spec: hw.ClusterA(), Policy: mk(), Source: phillyStream(t), DB: db(t),
+				RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+				Faults: parityFaults(),
+			}
+		}
+	}
+	// A cluster-wide outage preempts every running job at one instant:
+	// the worst case for same-instant event ordering (many crashes,
+	// completions and requeues at one time point).
+	for _, name := range []string{"fcfs", "arena"} {
+		mk := parityPolicies()[name]
+		fx["outage/"+name] = func() Config {
+			return Config{
+				Spec: hw.ClusterA(), Policy: mk(), Jobs: longJobs(24), DB: db(t),
+				RoundSeconds: 300, MaxRounds: 300, IncludeUnfinished: true, Seed: 1,
+				Faults: &faults.Config{Trace: stormTrace(t), CheckpointInterval: 600},
+			}
+		}
+	}
+	// A 10k-job streamed synthetic trace truncated by MaxRounds, so the
+	// source is only partially drained at the horizon.
+	fx["helios-10k/fcfs"] = func() Config {
+		src, err := trace.Stream(trace.HeliosDay(11, []string{"A40", "A10"}, 10000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{
+			Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: src, DB: db(t),
+			RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+		}
 	}
 	return fx
 }
@@ -234,6 +284,16 @@ func TestGoldenDigests(t *testing.T) {
 			if res.Dropped == 0 {
 				t.Errorf("%s: no job dropped; the fixture must exercise Assignment.Drop", name)
 			}
+		case "helios-10k/fcfs":
+			if res.Total < 5000 {
+				t.Errorf("%s: saw only %d jobs inside the horizon; want >= 5000", name, res.Total)
+			}
+		}
+		// Both event cores must reproduce every golden.
+		scanCfg := mk()
+		scanCfg.ReferenceScan = true
+		if gs, _ := runGolden(t, scanCfg); !reflect.DeepEqual(gs, g) {
+			t.Errorf("%s: the scan core diverges from the heap core", name)
 		}
 		if *updateGolden {
 			continue
