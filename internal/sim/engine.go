@@ -127,7 +127,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		s.events.Sort()
 		// The event core merges the fault stream into its heap; the
 		// schedule is sorted, so one cursor entry at a time suffices.
-		if !cfg.ReferenceScan && len(s.events) > 0 {
+		if len(s.events) > 0 {
 			s.pushFault(0)
 		}
 	}

@@ -14,15 +14,15 @@ import (
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
-// The event-heap core and the reference linear-scan core share every
-// progress/accounting primitive and must produce bit-identical results —
-// not approximately equal: both cores perform the same float operations
-// in the same order, so reflect.DeepEqual on the summaries is the
-// contract. These tests are the proof the ReferenceScan flag exists for.
+// Each policy's incremental score caches and its full-rescan reference
+// must produce bit-identical results — not approximately equal: both
+// paths perform the same float operations in the same order on the
+// entries they score, so reflect.DeepEqual on the summaries is the
+// contract. These tests are the proof the ReferenceScore flag exists for.
 
 // parityPolicies returns constructors for the paper's five schedulers.
 // Constructors, not instances: some policies carry internal state across
-// rounds, so each core run needs its own fresh policy.
+// rounds, so each run needs its own fresh policy.
 func parityPolicies() map[string]func() sched.Policy {
 	return map[string]func() sched.Policy{
 		"fcfs":        func() sched.Policy { return policy.NewFCFS() },
@@ -35,19 +35,17 @@ func parityPolicies() map[string]func() sched.Policy {
 
 // runParityCfg is the shared divergence check: build a fresh config per
 // run (policies carry state and Sources are single-use, so mkCfg must
-// return independent configs), flip the oracle flag via set, and fail on
-// any difference between reference and fast results.
-func runParityCfg(t *testing.T, name string, mkCfg func() Config, set func(*Config, bool)) (*Result, *Result) {
+// return independent configs), flip ReferenceScore, and fail on any
+// difference between reference and fast results.
+func runParityCfg(t *testing.T, name string, mkCfg func() Config) {
 	t.Helper()
 	refCfg := mkCfg()
-	set(&refCfg, true)
+	refCfg.ReferenceScore = true
 	ref, err := Run(refCfg)
 	if err != nil {
 		t.Fatalf("%s: reference run: %v", name, err)
 	}
-	fastCfg := mkCfg()
-	set(&fastCfg, false)
-	fast, err := Run(fastCfg)
+	fast, err := Run(mkCfg())
 	if err != nil {
 		t.Fatalf("%s: fast run: %v", name, err)
 	}
@@ -58,23 +56,6 @@ func runParityCfg(t *testing.T, name string, mkCfg func() Config, set func(*Conf
 	if !reflect.DeepEqual(outcomes(ref), outcomes(fast)) {
 		t.Errorf("%s: per-job outcomes diverge between reference and fast paths", name)
 	}
-	return ref, fast
-}
-
-// setScan flips the event-core oracle; setScore flips the policy-scoring
-// oracle. Each parity axis is tested with the other axis at its default.
-func setScan(cfg *Config, ref bool)  { cfg.ReferenceScan = ref }
-func setScore(cfg *Config, ref bool) { cfg.ReferenceScore = ref }
-
-// runParity runs cfg through both cores (a fresh policy each) and fails
-// on any divergence.
-func runParity(t *testing.T, name string, mk func() sched.Policy, cfg Config) (*Result, *Result) {
-	t.Helper()
-	return runParityCfg(t, name, func() Config {
-		c := cfg
-		c.Policy = mk()
-		return c
-	}, setScan)
 }
 
 // phillyStream returns a fresh streamed philly-6h source over the test
@@ -94,7 +75,8 @@ func phillyStream(t *testing.T) *trace.Generator {
 	return src
 }
 
-// parityFaults is the random fault model both parity matrices share.
+// parityFaults is the random fault model the score parity matrix and the
+// golden fixtures share.
 func parityFaults() *faults.Config {
 	return &faults.Config{
 		Model:              &faults.Model{Default: faults.TypeFaults{MTBF: 2 * 3600, MTTR: 1800, SlowEvery: 4 * 3600}},
@@ -102,47 +84,8 @@ func parityFaults() *faults.Config {
 	}
 }
 
-func TestScanHeapParityMatrix(t *testing.T) {
-	// Every policy, with and without the random fault model, on the
-	// standard 40-job slice trace AND a streamed philly-6h source —
-	// streamed arrival staging exercises a different engine path (pull-on-
-	// demand vs pre-staged pending), so the cores must agree on both.
-	jobs := testJobs(t, 40)
-	fm := parityFaults()
-	for name, mk := range parityPolicies() {
-		base := Config{
-			Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
-			RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
-		}
-		runParity(t, name, mk, base)
-		withFaults := base
-		withFaults.Faults = fm
-		withFaults.MaxRounds = 400
-		runParity(t, name+"+faults", mk, withFaults)
-		for _, faulted := range []bool{false, true} {
-			faulted := faulted
-			label := name + "+stream"
-			if faulted {
-				label += "+faults"
-			}
-			runParityCfg(t, label, func() Config {
-				c := Config{
-					Spec: hw.ClusterA(), Source: phillyStream(t), DB: db(t),
-					RoundSeconds: 300, MaxRounds: 400,
-					IncludeUnfinished: true, Seed: 1, Policy: mk(),
-				}
-				if faulted {
-					c.Faults = fm
-				}
-				return c
-			}, setScan)
-		}
-	}
-}
-
 func TestScoreParityMatrix(t *testing.T) {
-	// The incremental-scoring twin of TestScanHeapParityMatrix: every
-	// policy's score caches (launch ladders, failure memos, gain heaps,
+	// Every policy's score caches (launch ladders, failure memos, gain heaps,
 	// round-scoped score tables) against its full-rescan reference, across
 	// faults on/off and slice + streamed sources. Bit-identity, not
 	// tolerance: both paths are required to run the same float operations
@@ -166,7 +109,7 @@ func TestScoreParityMatrix(t *testing.T) {
 					c.MaxRounds = 400
 				}
 				return c
-			}, setScore)
+			})
 			runParityCfg(t, name+"+stream"+suffix, func() Config {
 				c := Config{
 					Spec: hw.ClusterA(), Source: phillyStream(t), DB: db(t),
@@ -177,7 +120,7 @@ func TestScoreParityMatrix(t *testing.T) {
 					c.Faults = fm
 				}
 				return c
-			}, setScore)
+			})
 		}
 	}
 }
@@ -194,7 +137,7 @@ func TestScoreParityArenaVariants(t *testing.T) {
 				Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
 				RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Policy: mk(),
 			}
-		}, setScore)
+		})
 	}
 }
 
@@ -211,56 +154,7 @@ func TestScoreParityDeepQueue(t *testing.T) {
 				Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
 				RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Policy: mk(),
 			}
-		}, setScore)
-	}
-}
-
-func TestScanHeapParityFaultStorm(t *testing.T) {
-	// A cluster-wide outage preempts every running job at the same
-	// instant — the worst case for same-instant event ordering (many
-	// crashes, completions, and requeues at one time point).
-	fc := &faults.Config{Trace: stormTrace(t), CheckpointInterval: 600}
-	for _, name := range []string{"fcfs", "arena"} {
-		runParity(t, name+"+storm", parityPolicies()[name], Config{
-			Spec: hw.ClusterA(), Jobs: longJobs(24), DB: db(t),
-			RoundSeconds: 300, MaxRounds: 300,
-			IncludeUnfinished: true, Seed: 1, Faults: fc,
 		})
-	}
-}
-
-func TestScanHeapParitySynthetic10k(t *testing.T) {
-	// A 10k-job streaming synthetic trace, truncated by MaxRounds —
-	// parity must hold mid-trace too, with the source only partially
-	// drained at the horizon. Sources are single-use, so each core run
-	// gets its own (deterministically identical) generator.
-	mkCfg := func(ref bool) Config {
-		src, err := trace.Stream(trace.HeliosDay(11, []string{"A40", "A10"}, 10000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: src, DB: db(t),
-			RoundSeconds: 300, MaxRounds: 400,
-			IncludeUnfinished: true, Seed: 1, ReferenceScan: ref,
-		}
-	}
-	scan, err := Run(mkCfg(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := Run(mkCfg(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scan.Summary, heap.Summary) {
-		t.Errorf("10k synthetic: summaries diverge between scan and heap cores")
-	}
-	if !reflect.DeepEqual(outcomes(scan), outcomes(heap)) {
-		t.Errorf("10k synthetic: per-job outcomes diverge between scan and heap cores")
-	}
-	if scan.Total < 5000 {
-		t.Errorf("10k synthetic saw only %d jobs inside the horizon", scan.Total)
 	}
 }
 

@@ -71,19 +71,11 @@ type Config struct {
 	// P90JCT are sketch estimates rather than exact order statistics.
 	Streaming bool
 
-	// ReferenceScan runs the legacy per-round linear-scan core instead of
-	// the event-heap core. Both cores share every progress/accounting
-	// primitive and differ only in how the next due event is found, so
-	// results are bit-identical — the parity tests prove it. The scan is
-	// O(running jobs) per event and exists as the oracle the heap is
-	// checked against.
-	ReferenceScan bool
-
 	// ReferenceScore runs the policies' full per-round candidate rescans
 	// instead of their incremental score caches (launch ladders, failure
 	// memos, marginal-gain heaps). Both paths make identical decisions —
-	// the score parity tests prove it — so the flag exists, like
-	// ReferenceScan, purely as the oracle the caches are checked against.
+	// the score parity tests prove it — so the flag exists purely as the
+	// oracle the caches are checked against.
 	// Policies without caches (FCFS) ignore it.
 	ReferenceScore bool
 
@@ -206,7 +198,6 @@ type state struct {
 	// Fault injection (nil faults = disabled; see internal/faults).
 	faults *faults.Config
 	events faults.Schedule // materialized realization, time-ordered
-	evIdx  int             // next unapplied event
 
 	// Per-job simulation record. sim is keyed by job pointer and only
 	// ever read through a specific job — never iterated — so map order
@@ -234,13 +225,13 @@ type state struct {
 // `thr` (from BusyUntil onwards), so its completion instant is fully
 // determined the moment its rate last changed:
 //
-//	pred = max(anchorAtRateChange, BusyUntil) + RemainingSamples/thr
+//	at = max(anchorAtRateChange, BusyUntil) + RemainingSamples/thr
 //
-// pred is computed once per rate change (launch, rescale, migrate,
-// straggler episode edge) and is *the* completion time — materializing
-// progress at later instants never recomputes it, so completion times
-// cannot drift with how often progress is observed, and the scan and
-// heap cores agree bitwise by construction.
+// at is computed once per rate change (launch, rescale, migrate,
+// straggler episode edge) and pushed onto the event heap as *the*
+// completion time — materializing progress at later instants never
+// recomputes it, so completion times cannot drift with how often
+// progress is observed.
 type jobSim struct {
 	sinceCkptSec    float64 // productive seconds since the last checkpoint
 	sinceCkptGPUSec float64 // GPU-seconds accumulated in that window
@@ -248,8 +239,6 @@ type jobSim struct {
 
 	anchor float64 // instant RemainingSamples was last materialized
 	thr    float64 // cached effective throughput (0 = not progressing)
-	pred   float64 // predicted completion instant (+Inf when never)
-	seq    uint64  // rate-change sequence: same-instant completion order
 	epoch  uint64  // invalidates stale heap entries on any rate change
 }
 
@@ -257,61 +246,10 @@ type jobSim struct {
 func (s *state) simFor(j *sched.Job) *jobSim {
 	js, ok := s.sim[j]
 	if !ok {
-		js = &jobSim{pred: math.Inf(1)}
+		js = &jobSim{}
 		s.sim[j] = js
 	}
 	return js
-}
-
-// advance processes every due event — completions at their predicted
-// instants, fault events at theirs — up to and including t, in global
-// (time, completion-before-fault, sequence) order. Completions at the
-// same instant as a crash win (kindRank orders crashes last for the same
-// reason). Both cores perform the identical operation sequence; they
-// differ only in how the next due event is found (heap pop vs. linear
-// scan), which is what the parity tests pin down.
-func (s *state) advance(t float64) {
-	if s.cfg.ReferenceScan {
-		s.advanceScan(t)
-	} else {
-		s.advanceHeap(t)
-	}
-	s.lastTime = t
-}
-
-// advanceScan is the reference core: each iteration linearly scans the
-// running set for the earliest predicted completion and plays it against
-// the next fault event. O(running jobs) per event.
-func (s *state) advanceScan(t float64) {
-	for {
-		var next *sched.Job
-		var nextJS *jobSim
-		for _, j := range s.running {
-			js := s.sim[j]
-			if js == nil || js.pred > t {
-				continue
-			}
-			if nextJS == nil || js.pred < nextJS.pred ||
-				(js.pred == nextJS.pred && js.seq < nextJS.seq) {
-				next, nextJS = j, js
-			}
-		}
-		faultAt := math.Inf(1)
-		if s.evIdx < len(s.events) {
-			faultAt = s.events[s.evIdx].Time
-		}
-		switch {
-		case nextJS != nil && nextJS.pred <= faultAt:
-			s.materialize(next, nextJS.pred)
-			s.complete(next, nextJS.pred)
-		case faultAt <= t:
-			ev := s.events[s.evIdx]
-			s.evIdx++
-			s.applyFault(ev)
-		default:
-			return
-		}
-	}
 }
 
 // materialize brings a job's RemainingSamples (and checkpoint-window
@@ -341,24 +279,19 @@ func (s *state) materializeRunning(now float64) {
 }
 
 // rePredict re-anchors a job after a rate change at instant t: caches
-// its new effective throughput, fixes its completion prediction, and
-// (heap core) publishes the new prediction, invalidating prior entries
-// via the epoch bump. Callers must materialize progress at t first
-// (launch needs no progress; everything else does).
+// its new effective throughput and publishes its completion prediction,
+// invalidating prior entries via the epoch bump. Callers must
+// materialize progress at t first (launch needs no progress; everything
+// else does).
 func (s *state) rePredict(j *sched.Job, t float64) {
 	js := s.simFor(j)
 	js.anchor = t
 	js.thr = s.effectiveThr(j)
 	js.epoch++
 	s.predSeq++
-	js.seq = s.predSeq
 	if js.thr > 0 {
-		js.pred = math.Max(t, j.BusyUntil) + j.RemainingSamples/js.thr
-		if !s.cfg.ReferenceScan {
-			s.heap.push(event{at: js.pred, class: classCompletion, seq: js.seq, job: j, epoch: js.epoch})
-		}
-	} else {
-		js.pred = math.Inf(1)
+		at := math.Max(t, j.BusyUntil) + j.RemainingSamples/js.thr
+		s.heap.push(event{at: at, class: classCompletion, seq: s.predSeq, job: j, epoch: js.epoch})
 	}
 }
 
@@ -367,7 +300,6 @@ func (s *state) rePredict(j *sched.Job, t float64) {
 func (s *state) invalidate(j *sched.Job) {
 	js := s.simFor(j)
 	js.thr = 0
-	js.pred = math.Inf(1)
 	js.epoch++
 }
 
