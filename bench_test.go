@@ -124,17 +124,12 @@ func BenchmarkEvaluatePlan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanGrid compares the planner's fast paths against their
-// references on the grid columns a cold perfdb build actually plans:
-// every (N, S) grid up to 16 GPUs for a memory-comfortable workload
-// (GPT-1.3B on A40) and a memory-tight one (MoE-10B on A10, where the
-// DP's infeasible-subtree skipping also engages). dp is the default
-// (prefix-DP enumerator + incremental Pareto sweep); dp-sorted-pareto
-// keeps the DP enumerator but reduces through the post-hoc
-// sort-and-sweep reference, isolating the sweep's contribution;
-// exhaustive is the from-scratch enumerator (through the sweep).
-// TestPrefixDPMatchesExhaustive proves all variants emit bit-identical
-// GridPlans, so the ratios are pure speedup.
+// BenchmarkPlanGrid times the planner (prefix-DP enumerator +
+// incremental Pareto sweep) on the grid columns a cold perfdb build
+// actually plans: every (N, S) grid up to 16 GPUs for a
+// memory-comfortable workload (GPT-1.3B on A40) and a memory-tight one
+// (MoE-10B on A10, where the DP's infeasible-subtree skipping also
+// engages).
 func BenchmarkPlanGrid(b *testing.B) {
 	cases := []struct {
 		model string
@@ -154,11 +149,8 @@ func BenchmarkPlanGrid(b *testing.B) {
 		w := model.Workload{Model: c.model, GlobalBatch: c.gb}
 		columns = append(columns, column{g: g, grids: core.Enumerate(w, len(g.Ops), []string{c.typ}, 16)})
 	}
-	run := func(b *testing.B, exhaustive, sortedPareto bool) {
+	b.Run("dp", func(b *testing.B) {
 		pl := planner.New()
-		pl.Exhaustive = exhaustive
-		pl.SortedPareto = sortedPareto
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, col := range columns {
 				for _, grid := range col.grids {
@@ -168,10 +160,7 @@ func BenchmarkPlanGrid(b *testing.B) {
 				}
 			}
 		}
-	}
-	b.Run("dp", func(b *testing.B) { run(b, false, false) })
-	b.Run("dp-sorted-pareto", func(b *testing.B) { run(b, false, true) })
-	b.Run("exhaustive", func(b *testing.B) { run(b, true, false) })
+	})
 }
 
 func BenchmarkFullSearch8GPU(b *testing.B) {

@@ -19,31 +19,34 @@
 //
 // # Enumeration
 //
-// Step 2 runs on one of two interchangeable enumerators, both streaming
-// into a candidateSink. The default is the incremental prefix DP of
-// dp.go: partitions are walked as a tree of boundary choices, per-stage
-// fractional shares and the power-of-two assignment DP's rows are keyed
-// to the deepest boundary they depend on and computed once per frontier
-// extension instead of once per partition, and stage ranges that fit
-// device memory at no GPU count prune their whole subtree.
-// Planner.Exhaustive selects the reference enumerator that evaluates
-// every partition from scratch.
+// Step 2 runs on one enumerator streaming into a candidateSink: the
+// incremental prefix DP of dp.go. Partitions are walked as a tree of
+// boundary choices, per-stage fractional shares and the power-of-two
+// assignment DP's rows are keyed to the deepest boundary they depend on
+// and computed once per frontier extension instead of once per
+// partition, and stage ranges that fit device memory at no GPU count
+// prune their whole subtree.
 //
 // # Pareto reduction
 //
-// Step 4 likewise has a fast path and a reference. By default PlanGrid
-// fuses the reduction into emission: the incremental sweep of
-// frontier.go maintains the (b_comp, l_comm) staircase online, rejects
-// dominated candidates at O(log F) insertion time without materializing
-// them, and queries intra-stage selection lazily — a candidate's
-// communication scan stops at the first stage that proves domination.
-// Planner.SortedPareto selects the post-hoc reference (pareto.go):
-// materialize the population, sort, sweep once. Exact metric ties
-// resolve by lexicographic partition rank on both paths, so all four
-// enumerator × reduction combinations emit bit-identical GridPlans (the
-// stability analysis and proof obligations are spelled out in dp.go,
-// frontier.go and docs/ARCHITECTURE.md); the reference flags exist only
-// for determinism tests and benchmark baselines.
+// Step 4 likewise has one reduction, fused into emission: the
+// incremental sweep of frontier.go maintains the (b_comp, l_comm)
+// staircase online, rejects dominated candidates at O(log F) insertion
+// time without materializing them, and queries intra-stage selection
+// lazily — a candidate's communication scan stops at the first stage
+// that proves domination. Exact metric ties resolve by lexicographic
+// partition rank, independently of the order candidates arrive in.
+//
+// # The oracle lives in tests
+//
+// reference_test.go keeps a from-scratch alternative for each step: a
+// brute-force enumerator that evaluates every partition in
+// lexicographic order, and a post-hoc reduction that materializes the
+// whole population, sorts it and sweeps once. The parity tests require
+// production PlanGrid to be bit-identical to all three other
+// enumerator × reduction combinations (the stability analysis and proof
+// obligations are spelled out in dp.go, frontier.go and
+// docs/ARCHITECTURE.md).
 //
 // PlanHetero extends the same partition machinery to mixed GPU pools
 // (§6): stages stay internally homogeneous, each pinned to one type with

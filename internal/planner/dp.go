@@ -1,14 +1,16 @@
 package planner
 
-// This file is the incremental prefix-DP partition enumerator — the
-// default path behind PlanGrid and EnumerateCandidates. The reference
-// enumerator (forEachPartition + buildCandidate) treats every one of the
-// C(O−1, s−1) partitions as independent: it recomputes the fractional
-// GPU shares of all s stages and runs the full power-of-two assignment
-// DP (normalizeAssignment, O(s·n·log n)) from scratch per partition,
-// even though consecutive partitions differ in a single boundary. After
-// PR 1 removed the allocation cost, that redundant recomputation was the
-// dominant cost of a cold performance-database build (~60%).
+// This file is the incremental prefix-DP partition enumerator — the one
+// enumerator behind PlanGrid and EnumerateCandidates. The brute-force
+// reference it replaced (now test-only: enumerateExhaustive, which the
+// parity tests compare against) treats every one of the C(O−1, s−1)
+// partitions as independent: it walks forEachPartition, recomputes the
+// fractional GPU shares of all s stages and runs the full power-of-two
+// assignment DP (normalizeAssignment, O(s·n·log n)) from scratch per
+// partition, even though consecutive partitions differ in a single
+// boundary. That redundant recomputation was the dominant cost of a
+// cold performance-database build (~60%). Below, "the reference path"
+// means that brute-force enumerator.
 //
 // The DP enumerator removes the redundancy by walking partitions as a
 // tree of boundary choices and keying every piece of per-stage state to
@@ -44,9 +46,9 @@ package planner
 // lexicographic order. enumerateDP therefore hands every sink the
 // candidate's lexicographic rank, computed as an O(1) running total over
 // suffix-cumulative binomial sums — the population sink uses it to
-// rebuild the reference emission order without a comparison sort, the
-// sweep frontier (frontier.go) to break metric ties identically to the
-// lex-order reference enumerator. A forward (prefix-accumulated)
+// rebuild the lexicographic emission order without a comparison sort,
+// the sweep frontier (frontier.go) to break metric ties independently of
+// arrival order. A forward (prefix-accumulated)
 // recurrence was rejected for exactly this class of reason: it regroups
 // the float summation d₀²+(d₁²+(…)) into ((d₀²+d₁²)+…) and flips exact
 // ties between mirrored assignments — real ties, e.g. for uniform
@@ -65,7 +67,6 @@ import (
 // a grid. All slices are preallocated once per grid; the DFS mutates
 // them in place, and the sink copies anything it retains.
 type partitionDP struct {
-	pl       *Planner
 	grid     core.Grid
 	stats    *opRangeStats
 	intra    *intraSelector
@@ -104,18 +105,16 @@ type partitionDP struct {
 	sink candidateSink // consumes leaves, keyed by lexicographic rank
 }
 
-// enumerateDP is the prefix-DP twin of the Exhaustive enumerate branch:
-// same candidates, same lexicographic ranks, same partition count, ~4×
-// less work.
-func (pl *Planner) enumerateDP(
-	g *model.Graph, grid core.Grid,
-	stats *opRangeStats, intra *intraSelector,
-	totalLoad float64, numMicro int, sink candidateSink,
-) int {
-	numOps := len(g.Ops)
+// enumerateDP streams every partition of the grid with a feasible GPU
+// assignment into the sink and returns the count of partitions
+// enumerated: the same candidates, lexicographic ranks and partition
+// count as the brute-force reference, for ~4× less work.
+func enumerateDP(gp *gridPass, sink candidateSink) int {
+	grid, stats, totalLoad := gp.grid, gp.stats, gp.totalLoad
+	numOps := len(gp.g.Ops)
 	if grid.S == 1 {
 		// A single partition has no boundary frontier to share; evaluate
-		// it with the reference per-partition code path.
+		// it directly.
 		scr := newCandScratch(1, grid.N)
 		scr.ideal[0] = stats.loadOf(0, numOps) / totalLoad * float64(grid.N)
 		scr.opsPer[0] = numOps
@@ -126,8 +125,8 @@ func (pl *Planner) enumerateDP(
 	}
 	s, n := grid.S, grid.N
 	e := &partitionDP{
-		pl: pl, grid: grid, stats: stats, intra: intra,
-		total: totalLoad, numMicro: numMicro,
+		grid: grid, stats: stats, intra: gp.intra,
+		total: totalLoad, numMicro: gp.numMicro,
 		s: s, n: n, numOps: numOps,
 		bounds: make([]int, s),
 		ideal:  make([]float64, s),
@@ -318,15 +317,15 @@ func (e *partitionDP) leaf(b, rank int) {
 
 // populationSink materializes every feasible candidate — the sink behind
 // EnumerateCandidates (Fig. 14 measures whole grid populations) and the
-// SortedPareto reference reduction. out accumulates candidates in
+// test-only post-hoc Pareto reduction. out accumulates candidates in
 // arrival order; slots maps each partition's lexicographic rank to 1+its
 // out index, so candidates() rebuilds the canonical lexicographic order
 // by a linear slot scan instead of a comparison sort, whichever
 // enumerator streamed in. Indices rather than pointers keep the hot loop
 // free of GC write barriers. Retained storage is bump-allocated from the
-// sink's arena instead of six heap objects per candidate; PlanGrid
-// detaches the few candidates that survive Pareto reduction, releasing
-// the arena with the enumeration.
+// sink's arena instead of six heap objects per candidate; a post-hoc
+// Pareto reduction detaches the few candidates that survive it,
+// releasing the arena with the enumeration.
 type populationSink struct {
 	intra    *intraSelector
 	numMicro int

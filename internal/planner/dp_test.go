@@ -35,28 +35,28 @@ func dpTestMatrix() []core.Grid {
 	return grids
 }
 
+// plannerVariant is one enumerator × reduction combination.
+type plannerVariant struct {
+	name string
+	plan func(*model.Graph, core.Grid) (*GridPlan, error)
+}
+
 // plannerVariants is the parity matrix's axis: every combination of
 // enumerator (prefix DP vs exhaustive reference) and Pareto reduction
 // (incremental sweep vs post-hoc sorted reference). The first entry is
-// the default fast path; all four must emit bit-identical GridPlans.
-func plannerVariants() []struct {
-	name string
-	pl   *Planner
-} {
-	mk := func(exhaustive, sorted bool) *Planner {
-		pl := New()
-		pl.Exhaustive = exhaustive
-		pl.SortedPareto = sorted
-		return pl
+// production's PlanGrid, the others run through referencePlanGrid; all
+// four must emit bit-identical GridPlans.
+func plannerVariants() []plannerVariant {
+	ref := func(exhaustive, sorted bool) func(*model.Graph, core.Grid) (*GridPlan, error) {
+		return func(g *model.Graph, grid core.Grid) (*GridPlan, error) {
+			return referencePlanGrid(New(), g, grid, exhaustive, sorted)
+		}
 	}
-	return []struct {
-		name string
-		pl   *Planner
-	}{
-		{"dp+sweep", mk(false, false)},
-		{"dp+sorted", mk(false, true)},
-		{"exhaustive+sweep", mk(true, false)},
-		{"exhaustive+sorted", mk(true, true)},
+	return []plannerVariant{
+		{"dp+sweep", New().PlanGrid},
+		{"dp+sorted", ref(false, true)},
+		{"exhaustive+sweep", ref(true, false)},
+		{"exhaustive+sorted", ref(true, true)},
 	}
 }
 
@@ -72,12 +72,12 @@ func TestPrefixDPMatchesExhaustive(t *testing.T) {
 	variants := plannerVariants()
 	for _, grid := range dpTestMatrix() {
 		g := model.MustBuildClustered(grid.Workload.Model)
-		want, err := variants[0].pl.PlanGrid(g, grid)
+		want, err := variants[0].plan(g, grid)
 		if err != nil {
 			t.Fatalf("%v: %s: %v", grid, variants[0].name, err)
 		}
 		for _, v := range variants[1:] {
-			got, err := v.pl.PlanGrid(g, grid)
+			got, err := v.plan(g, grid)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", grid, v.name, err)
 			}
@@ -107,12 +107,12 @@ func TestSweepFrontierTieStress(t *testing.T) {
 	} {
 		g := zeroLoadGraph(tc.ops, tc.zero)
 		gr := grid(g.Name, 64, "A40", tc.n, tc.s)
-		want, err := variants[0].pl.PlanGrid(g, gr)
+		want, err := variants[0].plan(g, gr)
 		if err != nil {
 			t.Fatalf("%v: %v", gr, err)
 		}
 		for _, v := range variants[1:] {
-			got, err := v.pl.PlanGrid(g, gr)
+			got, err := v.plan(g, gr)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", gr, v.name, err)
 			}
@@ -128,15 +128,13 @@ func TestSweepFrontierTieStress(t *testing.T) {
 // emission order — candidate lists are compared element-wise.
 func TestEnumerateCandidatesDPMatchesExhaustive(t *testing.T) {
 	dp := New()
-	ex := New()
-	ex.Exhaustive = true
 	for _, grid := range dpTestMatrix() {
 		if grid.S == 1 || grid.N < 4 {
 			continue // thin grids are covered by the PlanGrid sweep
 		}
 		g := model.MustBuildClustered(grid.Workload.Model)
 		got := dp.EnumerateCandidates(g, grid)
-		want := ex.EnumerateCandidates(g, grid)
+		want := exhaustiveCandidates(g, grid)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d candidates via DP, %d exhaustive", grid, len(got), len(want))
 		}
@@ -172,8 +170,7 @@ func zeroLoadGraph(numOps int, zeroEvery int) *model.Graph {
 }
 
 // TestPlannerEdgePartitions covers the degenerate partitions on every
-// enumerator × reduction combination before the reference paths are
-// deleted: s=1 (single stage), s=numOps (one operator per stage), and
+// enumerator × reduction combination: s=1 (single stage), s=numOps (one operator per stage), and
 // graphs with zero-load operators, asserting path parity plus basic
 // shape invariants.
 func TestPlannerEdgePartitions(t *testing.T) {
@@ -195,12 +192,12 @@ func TestPlannerEdgePartitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			variants := plannerVariants()
-			got, err := variants[0].pl.PlanGrid(tc.g, tc.grid)
+			got, err := variants[0].plan(tc.g, tc.grid)
 			if err != nil {
 				t.Fatalf("%s: %v", variants[0].name, err)
 			}
 			for _, v := range variants[1:] {
-				want, err := v.pl.PlanGrid(tc.g, tc.grid)
+				want, err := v.plan(tc.g, tc.grid)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -268,34 +265,5 @@ func TestPascalTriangle(t *testing.T) {
 				t.Fatalf("pascal[%d][%d] = %d, want %d", m, k, p[m][k], binom(m, k))
 			}
 		}
-	}
-}
-
-// TestExhaustiveFlagChangesNothingVisible guards the reference toggle
-// itself: an Exhaustive planner must keep satisfying the public
-// invariants the default path is tested for (frontier non-domination,
-// proxy provenance).
-func TestExhaustiveFlagChangesNothingVisible(t *testing.T) {
-	pl := New()
-	pl.Exhaustive = true
-	g := model.MustBuildClustered("WRes-2B")
-	gp, err := pl.PlanGrid(g, core.Grid{
-		Workload: model.Workload{Model: "WRes-2B", GlobalBatch: 512},
-		GPUType:  "A40", N: 8, S: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gp.Feasible || gp.Proxy == nil {
-		t.Fatal("reference path lost feasibility")
-	}
-	onFrontier := false
-	for _, c := range gp.Frontier {
-		if c == gp.Proxy {
-			onFrontier = true
-		}
-	}
-	if !onFrontier {
-		t.Fatal("reference proxy not on its frontier")
 	}
 }

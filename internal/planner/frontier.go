@@ -1,8 +1,8 @@
 package planner
 
-// This file is the frontier-aware incremental Pareto sweep — the default
-// reduction path behind PlanGrid. The post-hoc reference (pareto.go)
-// materializes every memory-feasible candidate of a grid, sorts the full
+// This file is the frontier-aware incremental Pareto sweep — the one
+// reduction behind PlanGrid. The post-hoc reference (paretoFrontier, now
+// test-only) materializes every memory-feasible candidate of a grid, sorts the full
 // population and sweeps it once; for the 16-operator graphs at s = 8
 // that is up to 6,435 materializations and an O(C log C) sort to keep a
 // frontier of at most a few dozen plans. The sweep fuses the reduction
@@ -22,8 +22,8 @@ package planner
 // exactly tied on both with a smaller lexicographic partition rank".
 // That set is a property of the candidate *population*, not of the order
 // candidates arrive in — which is what lets the prefix DP (colex
-// discovery order) and the exhaustive enumerator (lex order) route
-// through one frontier and still emit bit-identical GridPlans. The rank
+// discovery order) and the test-only exhaustive enumerator (lex order)
+// route through one frontier and still emit bit-identical GridPlans. The rank
 // tie-break is load-bearing: dropping it would make exact (BComp, LComm)
 // ties — which uniform transformer layers and zero-load operators
 // produce routinely — fall to whichever duplicate arrives first, and the
@@ -68,7 +68,7 @@ func newSweepFrontier(s int, intra *intraSelector, numMicro int) *sweepFrontier 
 // offer implements candidateSink: judge one partition + assignment
 // against the staircase, materializing it only if it enters. The
 // communication load is accumulated stage by stage through the shared
-// commAccum (the exact float expressions of the reference path), and the
+// commAccum (the exact float expressions of stageMetrics), and the
 // scan aborts as soon as the running lower bound strictly exceeds the
 // LComm the staircase requires at this BComp — later stages only add
 // non-negative terms, so domination is already certain and the remaining

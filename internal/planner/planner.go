@@ -20,22 +20,6 @@ type Planner struct {
 	// proxy selection to plans within (1+BiasTolerance)×min, letting the
 	// communication load break near-ties.
 	BiasTolerance float64
-	// Exhaustive switches PlanGrid and EnumerateCandidates from the
-	// incremental prefix-DP enumerator (dp.go) to the reference
-	// enumerator that recomputes every partition from scratch. Both emit
-	// bit-identical GridPlans — proven by TestPrefixDPMatchesExhaustive —
-	// so the flag changes wall-clock only. It exists for the determinism
-	// tests and the BenchmarkPlanGrid baseline, and is scheduled for
-	// deletion once a release has soaked with the DP path as default.
-	Exhaustive bool
-	// SortedPareto switches PlanGrid from the incremental Pareto sweep
-	// (frontier.go) to the post-hoc reference reduction: materialize the
-	// whole candidate population, sort it and sweep once (pareto.go).
-	// Orthogonal to Exhaustive — all four combinations emit bit-identical
-	// GridPlans (TestPrefixDPMatchesExhaustive sweeps the matrix) — and,
-	// like it, exists for the parity tests and the benchmark baseline
-	// until a release has soaked on the sweep.
-	SortedPareto bool
 }
 
 // New returns a Planner with the paper-aligned defaults.
@@ -96,8 +80,19 @@ func OperatorLoad(op model.Op, spec hw.GPU) float64 {
 	return spec.IdealKernelTime(3*op.FLOPs, 3*op.Bytes)
 }
 
-// PlanGrid produces the proxy plan and Pareto frontier for one grid.
-func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
+// gridPass is the per-grid input every enumeration pass reads.
+type gridPass struct {
+	g         *model.Graph
+	grid      core.Grid
+	stats     *opRangeStats
+	intra     *intraSelector
+	totalLoad float64
+	numMicro  int
+}
+
+// newGridPass validates the grid's shape against the graph and builds
+// its prefix aggregates and intra-stage selector.
+func newGridPass(g *model.Graph, grid core.Grid) (*gridPass, error) {
 	spec, err := hw.Lookup(grid.GPUType)
 	if err != nil {
 		return nil, err
@@ -106,135 +101,159 @@ func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
 	if grid.S < 1 || grid.S > numOps || grid.S > grid.N {
 		return nil, fmt.Errorf("planner: grid %v infeasible shape (O=%d)", grid, numOps)
 	}
-
 	stats := newRangeStats(g, spec)
 	totalLoad := stats.loadOf(0, numOps)
 	if totalLoad <= 0 {
 		return nil, fmt.Errorf("planner: graph %s has zero load", g.Name)
 	}
-
 	numMicro := parallel.DefaultMicrobatches(grid.S)
-	intra := newIntraSelector(g, spec, grid, numMicro)
+	return &gridPass{
+		g: g, grid: grid, stats: stats,
+		intra:     newIntraSelector(g, spec, grid, numMicro),
+		totalLoad: totalLoad, numMicro: numMicro,
+	}, nil
+}
 
-	out := &GridPlan{Grid: grid}
-	var frontier []*Candidate
-	if pl.SortedPareto {
-		// Reference reduction: materialize the full population (arena-
-		// backed), then sort-and-sweep post hoc. Survivors are detached
-		// so the returned frontier does not pin the enumeration's arena.
-		sink := newPopulationSink(g, grid, intra, numMicro)
-		out.CandidatesEvaluated = pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
-		frontier = paretoFrontier(sink.candidates())
-		for i, c := range frontier {
-			frontier[i] = detachCandidate(c)
-		}
-	} else {
-		// Default: the incremental sweep judges candidates as they are
-		// emitted and materializes only staircase members, already
-		// detached.
-		sink := newSweepFrontier(grid.S, intra, numMicro)
-		out.CandidatesEvaluated = pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
-		frontier = sink.candidates()
+// PlanGrid produces the proxy plan and Pareto frontier for one grid: the
+// prefix-DP enumerator (dp.go) streams every partition into the
+// incremental Pareto sweep (frontier.go), which judges candidates as
+// they are emitted and materializes only staircase members.
+func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
+	gp, err := newGridPass(g, grid)
+	if err != nil {
+		return nil, err
 	}
+	sink := newSweepFrontier(grid.S, gp.intra, gp.numMicro)
+	evaluated := enumerateDP(gp, sink)
+	return pl.finishGrid(grid, evaluated, sink.candidates()), nil
+}
+
+// finishGrid reduces a grid's Pareto frontier to MaxFrontier plans and
+// selects its proxy among them.
+func (pl *Planner) finishGrid(grid core.Grid, evaluated int, frontier []*Candidate) *GridPlan {
+	out := &GridPlan{Grid: grid, CandidatesEvaluated: evaluated}
 	if len(frontier) == 0 {
-		return out, nil // infeasible grid: nothing fits memory
+		return out // infeasible grid: nothing fits memory
 	}
 	out.Feasible = true
 	out.Frontier = pl.reduceFrontier(frontier)
 	out.Proxy = pl.selectProxy(out.Frontier)
-	return out, nil
+	return out
 }
 
-// detachCandidate deep-copies a candidate onto its own heap objects,
-// preserving every value bit. Proxy selection runs after detachment, so
-// the proxy remains a member of the returned frontier.
-func detachCandidate(c *Candidate) *Candidate {
-	return &Candidate{
-		Plan: &parallel.Plan{
-			Stages:          append([]parallel.StagePlan(nil), c.Plan.Stages...),
-			NumMicrobatches: c.Plan.NumMicrobatches,
-		},
-		BComp:        c.BComp,
-		LComm:        c.LComm,
-		OpsPerStage:  append([]int(nil), c.OpsPerStage...),
-		GPUsPerStage: append([]int(nil), c.GPUsPerStage...),
-		IdealAssign:  append([]float64(nil), c.IdealAssign...),
+// reduceFrontier shrinks an oversized frontier by repeatedly locating the
+// pair of plans with the most similar stage partitions and dropping the
+// one with the higher communication load (§3.3).
+func (pl *Planner) reduceFrontier(frontier []*Candidate) []*Candidate {
+	max := pl.MaxFrontier
+	if max <= 0 {
+		max = 16
 	}
+	out := append([]*Candidate(nil), frontier...)
+	for len(out) > max {
+		bi, bj := -1, -1
+		bestSim := math.MaxFloat64
+		for i := 0; i < len(out); i++ {
+			for j := i + 1; j < len(out); j++ {
+				sim := partitionDistance(out[i].OpsPerStage, out[j].OpsPerStage)
+				if sim < bestSim {
+					bestSim, bi, bj = sim, i, j
+				}
+			}
+		}
+		drop := bi
+		if out[bj].LComm > out[bi].LComm {
+			drop = bj
+		}
+		out = append(out[:drop], out[drop+1:]...)
+	}
+	return out
+}
+
+// partitionDistance is the L1 distance between two ops-per-stage vectors;
+// vectors of different lengths are padded with zeros (they cannot occur
+// within one grid, but the metric stays total).
+func partitionDistance(a, b []int) float64 {
+	n := len(a)
+	if len(b) > n {
+		n = len(b)
+	}
+	var d float64
+	for i := 0; i < n; i++ {
+		var av, bv int
+		if i < len(a) {
+			av = a[i]
+		}
+		if i < len(b) {
+			bv = b[i]
+		}
+		d += math.Abs(float64(av - bv))
+	}
+	return d
+}
+
+// selectProxy picks the grid's proxy plan from the Pareto frontier: filter
+// to plans with (near-)minimum computation bias — computation typically
+// dominates end-to-end performance — then take the lowest communication
+// load among them (§3.3).
+func (pl *Planner) selectProxy(frontier []*Candidate) *Candidate {
+	if len(frontier) == 0 {
+		return nil
+	}
+	minBias := math.MaxFloat64
+	for _, c := range frontier {
+		if c.BComp < minBias {
+			minBias = c.BComp
+		}
+	}
+	tol := pl.BiasTolerance
+	if tol < 0 {
+		tol = 0
+	}
+	cutoff := minBias*(1+tol) + 1e-12
+	var proxy *Candidate
+	for _, c := range frontier {
+		if c.BComp > cutoff {
+			continue
+		}
+		if proxy == nil || c.LComm < proxy.LComm {
+			proxy = c
+		}
+	}
+	return proxy
 }
 
 // EnumerateCandidates returns every generated candidate of the grid (one
 // per memory-feasible partition) without Pareto filtering — used by the
 // §5.4 case study (Fig. 14), which measures the whole grid population.
 func (pl *Planner) EnumerateCandidates(g *model.Graph, grid core.Grid) []*Candidate {
-	spec, err := hw.Lookup(grid.GPUType)
+	gp, err := newGridPass(g, grid)
 	if err != nil {
 		return nil
 	}
-	numOps := len(g.Ops)
-	if grid.S < 1 || grid.S > numOps || grid.S > grid.N {
-		return nil
-	}
-	stats := newRangeStats(g, spec)
-	totalLoad := stats.loadOf(0, numOps)
-	if totalLoad <= 0 {
-		return nil
-	}
-	numMicro := parallel.DefaultMicrobatches(grid.S)
-	intra := newIntraSelector(g, spec, grid, numMicro)
-	sink := newPopulationSink(g, grid, intra, numMicro)
-	pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
+	sink := newPopulationSink(g, grid, gp.intra, gp.numMicro)
+	enumerateDP(gp, sink)
 	return sink.candidates()
 }
 
-// candidateSink consumes the enumerators' output, one call per partition
+// candidateSink consumes the enumerator's output, one call per partition
 // whose power-of-two GPU assignment exists. Arguments are the caller's
 // scratch — a sink retaining any of them must copy. rank is the
 // partition's lexicographic index among all C(O−1, s−1) partitions of
-// the grid, the canonical candidate order: the population sink uses it
-// to reproduce that order without a comparison sort, the sweep frontier
-// to resolve exact (BComp, LComm) ties identically on both enumeration
-// orders. The sink decides memory feasibility itself (via the
+// the grid, the canonical candidate order: the prefix DP discovers
+// partitions in colexicographic order, so the population sink uses rank
+// to reproduce the lexicographic order without a comparison sort, and
+// the sweep frontier to resolve exact (BComp, LComm) ties independently
+// of arrival order. The sink decides memory feasibility itself (via the
 // intra-stage selector), so infeasible partitions are simply dropped.
 type candidateSink interface {
 	offer(bounds, assign, opsPer []int, ideal []float64, bias2 float64, rank int)
 }
 
-// enumerate streams every partition of the grid with a feasible GPU
-// assignment into the sink and returns the count of partitions
-// enumerated. The DP path (dp.go) is the default; Exhaustive selects the
-// reference path that rebuilds every partition from scratch. The two
-// differ in discovery order (lexicographic vs colexicographic), which is
-// why sinks key on the lexicographic rank rather than arrival order.
-func (pl *Planner) enumerate(
-	g *model.Graph, grid core.Grid,
-	stats *opRangeStats, intra *intraSelector,
-	totalLoad float64, numMicro int, sink candidateSink,
-) int {
-	if !pl.Exhaustive {
-		return pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
-	}
-	evaluated := 0
-	scr := newCandScratch(grid.S, grid.N)
-	forEachPartition(len(g.Ops), grid.S, func(rank int, bounds []int) {
-		evaluated++
-		start := 0
-		for j, end := range bounds {
-			scr.ideal[j] = stats.loadOf(start, end) / totalLoad * float64(grid.N)
-			scr.opsPer[j] = end - start
-			start = end
-		}
-		if assign, bias2 := normalizeAssignment(scr.ideal, grid.N, scr); assign != nil {
-			sink.offer(bounds, assign, scr.opsPer, scr.ideal, bias2, rank)
-		}
-	})
-	return evaluated
-}
-
-// candScratch holds the per-partition working storage of one exhaustive
-// enumeration pass. A grid enumerates C(O−1, s−1) partitions; reusing
-// the trial buffers (and the assignment DP tables) across them removes
-// the enumerator's dominant allocation cost. Sinks copy anything they
-// retain, so accepted candidates never alias the scratch.
+// candScratch holds the working storage of normalizeAssignment: the
+// per-partition trial buffers and the assignment DP tables, reusable
+// across the partitions of one pass. Sinks copy anything they retain, so
+// accepted candidates never alias the scratch.
 type candScratch struct {
 	ideal  []float64
 	opsPer []int

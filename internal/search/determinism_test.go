@@ -13,7 +13,6 @@ import (
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/planner"
-	"github.com/sjtu-epcc/arena/internal/profiler"
 )
 
 // waitGoroutines polls until the goroutine count returns to the baseline,
@@ -237,78 +236,5 @@ func TestOptionsRejectForeignCache(t *testing.T) {
 	_, err = FullSearchOpts(eng, g, hw.MustLookup("A40"), 128, 4, Options{Cache: evalcache.New(other)})
 	if err == nil {
 		t.Fatal("want error for cache bound to a different engine")
-	}
-}
-
-// TestSearchPlannerDPParity carries the planner's fast-path/reference
-// equivalence — the prefix-DP enumerator and the incremental Pareto
-// sweep against their references — through the layers that consume
-// GridPlans: profile a workload with each variant, then run the pruned
-// search from the best grid of each. Job profiles (estimates and
-// retained grid plans) and search outcomes must be deep-equal — the
-// whole deployment pipeline may not observe which enumerator or which
-// Pareto reduction planned its grids.
-func TestSearchPlannerDPParity(t *testing.T) {
-	eng := exec.NewEngine(42)
-	spec := hw.MustLookup("A40")
-	ct, err := profiler.OfflineSampleComm(eng, []string{"A40"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := model.Workload{Model: "GPT-1.3B", GlobalBatch: 128}
-	g, err := model.BuildClustered(w.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	profile := func(pl *planner.Planner) *profiler.JobProfile {
-		t.Helper()
-		jp, err := profiler.ProfileJobCtx(context.Background(), pl, profiler.New(eng, ct), g, w, []string{"A40"}, 8, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jp
-	}
-	dpPl := planner.New()
-	exPl := planner.New()
-	exPl.Exhaustive = true
-	sortedPl := planner.New()
-	sortedPl.SortedPareto = true
-	refPl := planner.New()
-	refPl.Exhaustive = true
-	refPl.SortedPareto = true
-	dpJP, exJP := profile(dpPl), profile(exPl)
-	for name, jp := range map[string]*profiler.JobProfile{
-		"exhaustive":        exJP,
-		"sorted-pareto":     profile(sortedPl),
-		"exhaustive+sorted": profile(refPl),
-	} {
-		if !reflect.DeepEqual(dpJP.Estimates, jp.Estimates) {
-			t.Fatalf("profiled estimates diverged between default and %s planner", name)
-		}
-		if !reflect.DeepEqual(dpJP.GridPlans, jp.GridPlans) {
-			t.Fatalf("retained grid plans diverged between default and %s planner", name)
-		}
-	}
-
-	r := core.Resource{GPUType: "A40", N: 8}
-	dpGrid, ok := dpJP.BestGrid(r)
-	if !ok {
-		t.Fatal("no feasible grid")
-	}
-	exGrid, _ := exJP.BestGrid(r)
-	if dpGrid != exGrid {
-		t.Fatalf("best grids diverged: %v vs %v", dpGrid, exGrid)
-	}
-	dpOut, err := PrunedSearch(eng, g, spec, w.GlobalBatch, 8, dpJP.GridPlans[dpGrid])
-	if err != nil {
-		t.Fatal(err)
-	}
-	exOut, err := PrunedSearch(eng, g, spec, w.GlobalBatch, 8, exJP.GridPlans[exGrid])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dpOut, exOut) {
-		t.Fatalf("pruned search outcomes diverged:\ndp:        %+v\nexhaustive: %+v", dpOut, exOut)
 	}
 }
