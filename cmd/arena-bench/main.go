@@ -42,7 +42,7 @@ func main() {
 	env := experiments.NewEnv(c.Seed)
 	env.StoreDir = c.Store
 	env.Workers = c.Workers
-	env.SnapshotWarn = cli.WarnSnapshot
+	env.ColumnWriteWarn = cli.WarnColumnWrite
 	if *verbose {
 		env.Progress = func(ev core.Event) {
 			if ev.Total > 0 {

@@ -114,9 +114,9 @@ func Fatal(err error) {
 	os.Exit(1)
 }
 
-// WarnSnapshot prints the uniform column-persistence warning: the
+// WarnColumnWrite prints the uniform column-persistence warning: the
 // database was built fine, only the cross-run cache write failed.
-func WarnSnapshot(err error) {
+func WarnColumnWrite(err error) {
 	fmt.Fprintf(os.Stderr, "%s: warning: %v (continuing with the built database)\n", Tool(), err)
 }
 
@@ -127,9 +127,9 @@ func ReportDB(db *perfdb.DB, err error) {
 	if err == nil {
 		return
 	}
-	var snapErr *perfdb.SnapshotError
-	if db != nil && errors.As(err, &snapErr) {
-		WarnSnapshot(err)
+	var colErr *perfdb.ColumnWriteError
+	if db != nil && errors.As(err, &colErr) {
+		WarnColumnWrite(err)
 		return
 	}
 	Fatal(err)

@@ -101,11 +101,11 @@ type Env struct {
 	// set it before the first Run call. cmd/arena-bench wires it to -v.
 	Progress core.ProgressFunc
 
-	// SnapshotWarn, when non-nil, receives store persistence failures
-	// (the build itself succeeded); the default prints to stderr.
-	// cmd/arena-bench routes it through internal/cli for the uniform
-	// tool-prefixed message.
-	SnapshotWarn func(error)
+	// ColumnWriteWarn, when non-nil, receives store column write
+	// failures (the build itself succeeded); the default prints to
+	// stderr. cmd/arena-bench routes it through internal/cli for the
+	// uniform tool-prefixed message.
+	ColumnWriteWarn func(error)
 
 	mu         sync.Mutex
 	progressMu sync.Mutex // serializes Progress calls from worker pools
@@ -201,10 +201,10 @@ func (e *Env) progress() core.ProgressFunc {
 	}
 }
 
-// warn routes a persistence warning through SnapshotWarn or stderr.
+// warn routes a persistence warning through ColumnWriteWarn or stderr.
 func (e *Env) warn(err error) {
-	if e.SnapshotWarn != nil {
-		e.SnapshotWarn(err)
+	if e.ColumnWriteWarn != nil {
+		e.ColumnWriteWarn(err)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "experiments: warning: %v (continuing with the built database)\n", err)

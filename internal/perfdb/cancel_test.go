@@ -61,7 +61,7 @@ func TestBuildCtxCancellation(t *testing.T) {
 	// The engine is stateless across builds: after the aborted attempts an
 	// uncancelled build still matches the serial reference exactly.
 	serialOpts := cancelOpts()
-	serialOpts.NoCache, serialOpts.Serial = true, true
+	serialOpts.NoCache, serialOpts.Workers = true, 1
 	ref, err := Build(eng, serialOpts)
 	if err != nil {
 		t.Fatal(err)

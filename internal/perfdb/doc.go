@@ -28,13 +28,13 @@
 // Options.EvalCache substitutes a caller-owned cache — the session
 // passes its store-attached one, so even a first-ever build starts from
 // measurements persisted by earlier searches. All execution options
-// (NoCache, Serial, Workers, EvalCache) change wall-clock only; the
-// reference paths and determinism tests in this package prove results
+// (NoCache, Workers, EvalCache) change wall-clock only; the NoCache
+// reference path and the determinism tests in this package prove results
 // stay bit-identical.
 //
 // BuildOrLoadStore avoids rebuilding: it persists one content-addressed
 // object per workload column with partial invalidation — adding a
 // workload to a cached request builds exactly the missing column (see
 // store.go for the key derivation rules). A column write failure is a
-// *SnapshotError returned alongside the fully usable database.
+// *ColumnWriteError returned alongside the fully usable database.
 package perfdb

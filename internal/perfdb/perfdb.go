@@ -93,13 +93,11 @@ type Options struct {
 	// tests and benchmarks; the cached path is bit-identical, just
 	// faster.
 	NoCache bool
-	// Serial additionally disables the per-workload fan-out, forcing a
-	// fully single-threaded build.
-	Serial bool
 
 	// Workers caps the build's total worker budget across both fan-out
-	// levels (workloads × points). <= 0 means all cores (GOMAXPROCS).
-	// Like NoCache/Serial it changes wall-clock only, never results.
+	// levels (workloads × points). <= 0 means all cores (GOMAXPROCS);
+	// 1 forces a fully single-threaded build. Like NoCache it changes
+	// wall-clock only, never results.
 	Workers int
 
 	// EvalCache, when non-nil, is the measurement cache the build's
@@ -182,9 +180,6 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	// pure function of its seed, so concurrency cannot perturb results.
 	results := make([]workloadResult, len(opts.Workloads))
 	workloadWorkers := opts.maxWorkers()
-	if opts.Serial {
-		workloadWorkers = 1
-	}
 	counts := 0
 	for n := 1; n <= opts.MaxN; n *= 2 {
 		counts++
@@ -307,7 +302,7 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	}
 	outs := make([]pointResult, len(points))
 	workers := 1
-	if !opts.NoCache && !opts.Serial {
+	if !opts.NoCache {
 		// Split the worker budget across the workloads building
 		// concurrently so the two fan-out levels multiply to ~budget,
 		// not budget².

@@ -355,7 +355,7 @@ func equalDB(t *testing.T, a, b *DB, label string) {
 
 // TestCachedBuildMatchesUncachedSerial is the perfdb half of the tentpole
 // determinism guarantee: the memoized fan-out build and the pre-cache
-// serial build produce byte-identical databases — entries (throughputs,
+// single-worker build produce byte-identical databases — entries (throughputs,
 // plans, modeled search times) and profiling wall-time accumulators.
 func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
 	cached, err := Build(exec.NewEngine(42), smallOpts())
@@ -364,7 +364,7 @@ func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
 	}
 	baselineOpts := smallOpts()
 	baselineOpts.NoCache = true
-	baselineOpts.Serial = true
+	baselineOpts.Workers = 1
 	baseline, err := Build(exec.NewEngine(42), baselineOpts)
 	if err != nil {
 		t.Fatal(err)

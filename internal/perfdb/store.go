@@ -30,21 +30,21 @@ import (
 // columns across option sets: two requests that agree on those inputs hit
 // the same objects regardless of which other workloads each one asked for.
 
-// SnapshotError marks a persistence failure that did not affect the
-// built database: the build succeeded and the returned DB is fully
-// usable; only the cross-run cache was lost (Path names the store object
-// that could not be written). Callers distinguish it with errors.As to
-// warn-and-continue instead of aborting.
-type SnapshotError struct {
-	Path string
-	Err  error
+// ColumnWriteError marks a store column write that failed without
+// affecting the built database: the build succeeded and the returned DB
+// is fully usable; only the cross-run cache was lost (Key names the
+// store column that could not be written). Callers distinguish it with
+// errors.As to warn-and-continue instead of aborting.
+type ColumnWriteError struct {
+	Key store.Key
+	Err error
 }
 
-func (e *SnapshotError) Error() string {
-	return fmt.Sprintf("perfdb: saving snapshot %s: %v", e.Path, e.Err)
+func (e *ColumnWriteError) Error() string {
+	return fmt.Sprintf("perfdb: writing store column %s: %v", e.Key, e.Err)
 }
 
-func (e *SnapshotError) Unwrap() error { return e.Err }
+func (e *ColumnWriteError) Unwrap() error { return e.Err }
 
 // columnSchema versions the column dump layout; hashed into every key, so
 // a bump orphans old objects instead of misreading them.
@@ -118,7 +118,7 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 // TestStorePartialBuildMatchesColdBuild asserts.
 //
 // A column write failure returns the fully usable database together with
-// a *SnapshotError (warn and continue: only the cache was lost);
+// a *ColumnWriteError (warn and continue: only the cache was lost);
 // unreadable column objects are rebuilt and reported in StoreStats.Skipped.
 func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *store.Store) (*DB, StoreStats, error) {
 	var stats StoreStats
@@ -213,7 +213,7 @@ func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *s
 			col := built.exportColumn(w)
 			db.importColumn(w, col)
 			if err := st.Put(columnDomain, missingKeys[i], col); err != nil && saveErr == nil {
-				saveErr = &SnapshotError{Path: string(missingKeys[i]), Err: err}
+				saveErr = &ColumnWriteError{Key: missingKeys[i], Err: err}
 			}
 		}
 		if saveErr != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/exec"
@@ -213,5 +214,37 @@ func TestStoreCancellation(t *testing.T) {
 	db, _, err := BuildOrLoadStore(ctx, exec.NewEngine(42), storeTestOpts(storeTestWorkloads[0]), st)
 	if db != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want canceled build, got db=%v err=%v", db, err)
+	}
+}
+
+// TestColumnWriteErrorNamesStoreColumn pins the warning a failed column
+// write produces: the database is still returned, and the error names the
+// store column it could not write. A regular file where the column domain
+// directory belongs makes every column write fail.
+func TestColumnWriteErrorNamesStoreColumn(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.WriteFile(filepath.Join(dir, columnDomain), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{GPUTypes: []string{"A40"}, MaxN: 2, Workloads: []model.Workload{{Model: "WRes-0.5B", GlobalBatch: 256}}}
+	db, stats, err := BuildOrLoadStore(context.Background(), exec.NewEngine(42), opts, st)
+	if db == nil || stats.BuiltColumns != 1 {
+		t.Fatalf("db=%v built=%d, want a built database despite the failed write", db, stats.BuiltColumns)
+	}
+	var colErr *ColumnWriteError
+	if !errors.As(err, &colErr) {
+		t.Fatalf("err = %v, want a *ColumnWriteError", err)
+	}
+	msg := err.Error()
+	if want := "perfdb: writing store column " + string(colErr.Key) + ": "; colErr.Key == "" || !strings.HasPrefix(msg, want) {
+		t.Errorf("message %q, want prefix %q", msg, want)
+	}
+	if strings.Contains(msg, "snapshot") {
+		t.Errorf("message %q names the retired snapshot layer", msg)
 	}
 }

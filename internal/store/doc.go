@@ -28,7 +28,7 @@
 // All read-side failures are reported as a *Error wrapping one of the
 // sentinel errors (ErrNotFound, ErrSchema, ErrCorrupt, ErrKeyMismatch), so
 // callers can route each object onto the rebuild-and-warn path — the same
-// convention perfdb.SnapshotError follows for column writes: persistence
+// convention perfdb.ColumnWriteError follows for column writes: persistence
 // is a cache concern and must never abort work that can be recomputed.
 //
 // The clients' key-derivation and invalidation rules — which fields feed

@@ -133,7 +133,7 @@ func New(opts ...Option) (*Session, error) {
 // of the session's lifecycle. The returned error, when non-nil, is a
 // *store-layer persistence failure; all measured results remain valid, so
 // callers typically warn and continue, exactly as with a
-// perfdb.SnapshotError from BuildPerfDB.
+// perfdb.ColumnWriteError from BuildPerfDB.
 func (s *Session) Close() error {
 	if s.store == nil {
 		return nil
@@ -404,7 +404,7 @@ func (s *Session) Evaluate(ctx context.Context, g *Graph, p *Plan, gpuType strin
 // missing columns are built (and written back).
 //
 // A column persistence failure returns the fully usable database together
-// with a *perfdb.SnapshotError-wrapped error; callers decide whether to
+// with a *perfdb.ColumnWriteError-wrapped error; callers decide whether to
 // warn or abort. PerfDBStoreStats breaks a store-served build down by
 // column.
 func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
