@@ -2,7 +2,9 @@ package faults
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,5 +179,43 @@ func TestConfigDefaultsAndEnabled(t *testing.T) {
 	keep := Config{CheckpointInterval: 60, RetryBudget: 1, BackoffBase: 5}.WithDefaults()
 	if keep.CheckpointInterval != 60 || keep.RetryBudget != 1 || keep.BackoffBase != 5 {
 		t.Fatalf("explicit knobs overwritten: %+v", keep)
+	}
+}
+
+// TestSortIsPermutationIndependent pins that Sort needs no stability:
+// every shuffled permutation of a schedule dense with same-instant events
+// (every kind, two GPU types, several nodes, differing straggler factors,
+// exact duplicates) sorts to the same sequence.
+func TestSortIsPermutationIndependent(t *testing.T) {
+	var base Schedule
+	for _, at := range []float64{0, 300, 300.5} {
+		for _, typ := range []string{"A40", "A10"} {
+			for node := 0; node < 3; node++ {
+				base = append(base,
+					Event{Time: at, Kind: Crash, GPUType: typ, Node: node},
+					Event{Time: at, Kind: Recover, GPUType: typ, Node: node},
+					Event{Time: at, Kind: SlowEnd, GPUType: typ, Node: node},
+					Event{Time: at, Kind: SlowStart, GPUType: typ, Node: node, Factor: 0.3},
+					Event{Time: at, Kind: SlowStart, GPUType: typ, Node: node, Factor: 0.7},
+					Event{Time: at, Kind: Crash, GPUType: typ, Node: node},
+				)
+			}
+		}
+	}
+	want := slices.Clone(base)
+	want.Sort()
+	for i := 1; i < len(want); i++ {
+		if compareEvents(want[i-1], want[i]) > 0 {
+			t.Fatalf("sorted schedule out of order at %d: %+v before %+v", i, want[i-1], want[i])
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		got := slices.Clone(base)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		got.Sort()
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: a shuffled schedule sorted to a different sequence", trial)
+		}
 	}
 }
