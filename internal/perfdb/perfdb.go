@@ -179,13 +179,12 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	// Workloads are independent; build them concurrently. The engine is a
 	// pure function of its seed, so concurrency cannot perturb results.
 	results := make([]workloadResult, len(opts.Workloads))
-	workloadWorkers := opts.maxWorkers()
 	counts := 0
 	for n := 1; n <= opts.MaxN; n *= 2 {
 		counts++
 	}
 	sink := &progressSink{fn: opts.Progress, total: len(opts.Workloads) * len(opts.GPUTypes) * counts}
-	if err := core.ParallelForCtx(ctx, len(opts.Workloads), workloadWorkers, func(i int) {
+	if err := core.ParallelForCtx(ctx, len(opts.Workloads), opts.maxWorkers(), func(i int) {
 		results[i] = buildWorkload(ctx, eng, ct, opts.Workloads[i], opts, sink)
 	}); err != nil {
 		return nil, err

@@ -2,13 +2,12 @@ package planner
 
 // This file is the incremental prefix-DP partition enumerator — the one
 // enumerator behind PlanGrid and EnumerateCandidates. The brute-force
-// reference it replaced (now test-only: enumerateExhaustive, which the
-// parity tests compare against) treats every one of the C(O−1, s−1)
-// partitions as independent: it walks forEachPartition, recomputes the
-// fractional GPU shares of all s stages and runs the full power-of-two
-// assignment DP (normalizeAssignment, O(s·n·log n)) from scratch per
-// partition, even though consecutive partitions differ in a single
-// boundary. That redundant recomputation was the dominant cost of a
+// reference the parity tests compare it against (enumerateExhaustive in
+// reference_test.go) treats every one of the C(O−1, s−1) partitions as
+// independent: it walks forEachPartition, recomputes the fractional GPU
+// shares of all s stages and runs the full power-of-two assignment DP
+// (normalizeAssignment, O(s·n·log n)) from scratch per partition, even
+// though consecutive partitions differ in a single boundary. That redundant recomputation was the dominant cost of a
 // cold performance-database build (~60%). Below, "the reference path"
 // means that brute-force enumerator.
 //

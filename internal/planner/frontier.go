@@ -1,8 +1,8 @@
 package planner
 
 // This file is the frontier-aware incremental Pareto sweep — the one
-// reduction behind PlanGrid. The post-hoc reference (paretoFrontier, now
-// test-only) materializes every memory-feasible candidate of a grid, sorts the full
+// reduction behind PlanGrid. The post-hoc reference (paretoFrontier in
+// reference_test.go) materializes every memory-feasible candidate of a grid, sorts the full
 // population and sweeps it once; for the 16-operator graphs at s = 8
 // that is up to 6,435 materializations and an O(C log C) sort to keep a
 // frontier of at most a few dozen plans. The sweep fuses the reduction

@@ -38,9 +38,8 @@ import (
 // replaces: the simulator's score parity matrix proves DeepEqual
 // equality of summaries and per-job outcomes across all five policies,
 // faults on/off, slice and streamed traces. Config.ReferenceScore keeps
-// the rescans alive as the oracle. Unlike the simulator's retired
-// linear-scan core, it stays in production code: the perfbench harness
-// compiles against ReferenceScorer.
+// the rescans alive as the oracle; it stays in production code because
+// the perfbench harness compiles against ReferenceScorer.
 
 // ReferenceScorer is implemented by policies that maintain incremental
 // score caches with a full-rescan reference mode. The simulator's engine
